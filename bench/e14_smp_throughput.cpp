@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cgm/machine.hpp"
-#include "core/backend.hpp"
 #include "core/driver.hpp"
 #include "rng/philox.hpp"
 #include "seq/fisher_yates.hpp"
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
     cgm::machine mach(4, 0xE14);
     stopwatch sw;
     data = core::permute_global(mach, data);
-    rows.push_back({"cgm", 4, sw.seconds()});
+    rows.push_back({"cgm_simulator", 4, sw.seconds()});
   }
 
   const double seq_s = rows.front().seconds;

@@ -12,16 +12,15 @@
 //
 // Everything else is exported in layers, facade first:
 //
-//   facade      cgp::context (core/context.hpp) -- owns profile,
-//               transport, registry access, seed discipline
-//   dispatch    core::shuffle / permute / random_permutation
-//               (core/backend.hpp) -- compatibility shims over the same
-//               plan/executor core
+//   facade      cgp::context (core/context.hpp) -- the one whole-vector
+//               entry point; owns profile, transport, registry access,
+//               seed discipline
 //   planning    core::plan_permutation, machine_profile (core/plan.hpp)
 //   execution   core::executor and the per-backend executors
 //               (core/executor.hpp), engine registry (core/registry.hpp)
 //   transport   comm::transport / loopback / threaded (comm/transport.hpp)
-//   engines     smp::engine, em::async_em_shuffle, cgm::distributed_shuffle,
+//   engines     smp::engine, em::async_em_shuffle (em::naive_em_fisher_yates
+//               is its I/O baseline), cgm::distributed_shuffle,
 //               seq::* reference shuffles
 //   simulator   cgm::machine + Algorithm 1 (model-faithful accounting)
 //
@@ -37,9 +36,8 @@
 // --- the facade ----------------------------------------------------------
 #include "core/context.hpp"      // IWYU pragma: export
 
-// --- dispatch + plan/executor core (compatibility entry points) ----------
+// --- the plan/executor core behind the facade ---------------------------
 #include "core/apply.hpp"        // IWYU pragma: export
-#include "core/backend.hpp"      // IWYU pragma: export
 #include "core/executor.hpp"     // IWYU pragma: export
 #include "core/plan.hpp"         // IWYU pragma: export
 #include "core/registry.hpp"     // IWYU pragma: export

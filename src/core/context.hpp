@@ -31,18 +31,18 @@
 // explicit seeds, as the service layer does).  `reseed` / `recalibrate` /
 // `set_transport` are exclusive: do not run them concurrently with draws.
 //
-// The old free functions (core::shuffle / core::permute /
-// core::random_permutation in core/backend.hpp, core::permute_global in
-// core/driver.hpp) remain as thin compatibility shims over the same
-// plan/executor core; new code should construct a context.
+// Every call runs the plan/executor core (core/executor.hpp) itself:
+// resolve_plan -> feedback_scope -> make_executor.  The context is the
+// only whole-vector entry point; the simulator's core::permute_global
+// (core/driver.hpp) stays as the model-faithful experiment path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
@@ -66,8 +66,9 @@ struct context_options {
   /// instead of using detected defaults -- what servers should do once.
   bool calibrate = false;
   /// Expert escape hatch: engine knobs (em geometry, smp/cgm engine
-  /// options, simulator pipeline) forwarded verbatim.  The curated fields
-  /// above override their counterparts in here.
+  /// options, simulator pipeline, an injected machine profile) forwarded
+  /// verbatim.  The curated fields above override their counterparts in
+  /// here.
   core::backend_options engine{};
 };
 
@@ -75,8 +76,9 @@ class context {
  public:
   explicit context(context_options opt = {})
       : opt_(opt),
-        profile_(opt.calibrate ? core::machine_profile::calibrate()
-                               : core::shared_profile()),
+        profile_(opt.engine.profile != nullptr ? *opt.engine.profile
+                 : opt.calibrate               ? core::machine_profile::calibrate()
+                                               : core::shared_profile()),
         seed_(opt.seed) {}
 
   context(const context&) = delete;
@@ -87,24 +89,31 @@ class context {
   /// Uses the next seed of the context's draw sequence.
   template <typename T>
   core::permutation_plan shuffle(std::span<T> data) {
-    return core::shuffle(data, execution_options(next_seed()));
+    return shuffle(data, next_seed());
   }
 
   /// Same, under an explicit seed (does not advance the draw sequence).
   /// `const`: safe to call concurrently on one shared context.
   template <typename T>
   core::permutation_plan shuffle(std::span<T> data, std::uint64_t seed) const {
-    return core::shuffle(data, execution_options(seed));
+    static_assert(std::is_trivially_copyable_v<T>);
+    return execute(data.size(), sizeof(T), seed,
+                   [&](core::executor& ex) { ex.shuffle(data, seed); });
   }
 
   /// Sample pi uniform over S_n (pi[i] = image of i), in the executor's
-  /// native fill mode.
+  /// native fill mode: iota + in-place shuffle for the RAM backends, a
+  /// bulk device read for em -- no copy-in/copy-out round trip.
   [[nodiscard]] std::vector<std::uint64_t> random_permutation(std::uint64_t n) {
-    return core::random_permutation(n, execution_options(next_seed()));
+    return random_permutation(n, next_seed());
   }
   [[nodiscard]] std::vector<std::uint64_t> random_permutation(std::uint64_t n,
                                                               std::uint64_t seed) const {
-    return core::random_permutation(n, execution_options(seed));
+    std::vector<std::uint64_t> pi(n);
+    (void)execute(n, sizeof(std::uint64_t), seed, [&](core::executor& ex) {
+      ex.fill_random_permutation(std::span<std::uint64_t>(pi), seed);
+    });
+    return pi;
   }
 
   /// The plan a shuffle of `n` records of `elem_bytes` would run, without
@@ -118,8 +127,8 @@ class context {
   /// curated fields projected onto the expert engine options, plus the
   /// context's profile.  Public so a layer that schedules its own
   /// execution (svc::server) can run jobs through the identical
-  /// plan/executor path -- `core::shuffle(data, ctx.execution_options(s))`
-  /// is bit-for-bit `ctx.shuffle(data, s)` by construction.  The returned
+  /// plan/executor path -- make_executor(plan, ctx.execution_options(s))
+  /// runs bit-for-bit what `ctx.shuffle(data, s)` runs.  The returned
   /// options point at this context's profile; they must not outlive it.
   [[nodiscard]] core::backend_options execution_options(std::uint64_t seed) const {
     core::backend_options o = opt_.engine;
@@ -164,8 +173,21 @@ class context {
   }
 
  private:
-  /// Seed of draw k: the base seed verbatim first (so a context replays
-  /// the corresponding free-function call), then streams derived like
+  /// One whole-vector call: plan, file feedback around the run, execute.
+  /// The plan is also written to the engine options' plan_out, if set.
+  template <typename Run>
+  core::permutation_plan execute(std::uint64_t n, std::uint32_t elem_bytes, std::uint64_t seed,
+                                 Run&& run) const {
+    const core::backend_options o = execution_options(seed);
+    const core::permutation_plan plan = core::resolve_plan(n, elem_bytes, o);
+    if (o.plan_out != nullptr) *o.plan_out = plan;
+    const core::feedback_scope fb(plan, n, elem_bytes);
+    run(*core::make_executor(plan, o));
+    return plan;
+  }
+
+  /// Seed of draw k: the base seed verbatim first (so draw 0 equals an
+  /// explicit-seed call with the base seed), then streams derived like
   /// core/repeat.hpp's permutation_stream -- mixing k through its own
   /// mix64 before xoring keeps contexts with ADJACENT base seeds on
   /// disjoint sequences (mix64(seed + k) would make seed 101's draw k

@@ -2,8 +2,7 @@
 //
 // The executor half of the plan/executor core: a type-erased, span-based
 // execution interface that every backend (sequential, smp, em, cgm,
-// cgm_simulator) implements uniformly, replacing the old enum switch in
-// core/backend.hpp.  Two entry points:
+// cgm_simulator) implements uniformly.  Two entry points:
 //
 //   * `shuffle_raw` / `shuffle<T>` -- uniformly permute n records of
 //     elem_bytes each IN PLACE.  The smp hot path runs straight on the
@@ -26,6 +25,11 @@
 // Executors are cheap per-call shells; the expensive state (thread
 // pools) comes from the process-wide registry (core/registry.hpp) unless
 // the caller hands in an engine explicitly.
+//
+// A whole-vector call runs resolve_plan -> feedback_scope ->
+// make_executor (all below); cgp::context (core/context.hpp) is the entry
+// point that does so, and the service layer (svc/server.cpp) drives the
+// same three steps with a cached plan.
 #pragma once
 
 #include <array>
@@ -33,8 +37,11 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cgm/distributed.hpp"
@@ -46,6 +53,8 @@
 #include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
+#include "obs/metrics.hpp"
+#include "obs/plan_feedback.hpp"
 #include "obs/trace.hpp"
 #include "prp/cipher.hpp"
 #include "rng/philox.hpp"
@@ -53,10 +62,12 @@
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
 #include "util/assert.hpp"
+#include "util/stopwatch.hpp"
 
 namespace cgp::core {
 
-/// Options for the backend-dispatched entry points (core/backend.hpp).
+/// Per-call engine options: what cgp::context::execution_options projects
+/// its curated fields onto, and what resolve_plan / make_executor read.
 struct backend_options {
   backend which = backend::smp;
   /// Degree of parallelism: virtual processors (cgm_simulator), transport
@@ -110,6 +121,8 @@ struct backend_options {
   double accessed_fraction = 1.0;
   /// Machine profile for the planner; nullptr = machine_profile::detect().
   /// Point at a machine_profile::calibrate() result for measured costs.
+  /// A cgp::context built with a non-null profile here plans with a copy
+  /// of it instead of the shared (or calibrated) one.
   const machine_profile* profile = nullptr;
   /// If set, receives the resolved plan (also for explicit backends).
   permutation_plan* plan_out = nullptr;
@@ -609,6 +622,49 @@ class em_executor final : public executor {
   }
   return plan;
 }
+
+/// RAII scope around one executed job: wall-clocks the run, collects the
+/// per-phase times the executors' obs::spans report on this thread, and
+/// on destruction files an obs::plan_feedback_record (prediction next to
+/// measurement) -- the raw material of plan::explain()'s
+/// predicted-vs-measured section.  Inert when obs is disabled
+/// (CGP_OBS_OFF): no collector, no clock, no record.  Used by
+/// cgp::context's entry points and by the service layer's job runners
+/// (svc/server.cpp), which drive executors directly.
+class feedback_scope {
+ public:
+  feedback_scope(const permutation_plan& plan, std::uint64_t n, std::uint32_t elem_bytes) {
+    if (!obs::enabled()) return;
+    active_ = true;
+    rec_.backend = backend_name(plan.chosen);
+    rec_.n = n;
+    rec_.elem_bytes = elem_bytes;
+    rec_.predicted_seconds = plan.predicted_seconds;
+    rec_.predicted_phases.reserve(plan.phases.size());
+    for (const auto& ph : plan.phases) rec_.predicted_phases.push_back({ph.label, ph.seconds});
+    obs::get_counter(std::string("core.exec.") + rec_.backend).add();
+    collector_.emplace();
+    span_.emplace("execute", "exec");
+    sw_.reset();
+  }
+  feedback_scope(const feedback_scope&) = delete;
+  feedback_scope& operator=(const feedback_scope&) = delete;
+  ~feedback_scope() {
+    if (!active_) return;
+    rec_.measured_seconds = sw_.seconds();
+    span_.reset();  // flush the overall "execute" phase into the collector
+    rec_.measured_phases = collector_->phases();
+    collector_.reset();
+    obs::record_plan_feedback(std::move(rec_));
+  }
+
+ private:
+  bool active_ = false;
+  obs::plan_feedback_record rec_;
+  std::optional<obs::phase_collector> collector_;
+  std::optional<obs::span> span_;
+  stopwatch sw_;
+};
 
 /// Build the executor that realizes `plan` under the per-call options.
 [[nodiscard]] inline std::unique_ptr<executor> make_executor(const permutation_plan& plan,

@@ -75,9 +75,9 @@ std::uint32_t adaptive_fan_out(std::uint64_t memory_items, std::uint32_t block_i
 }
 
 /// Pick the (M, B) device geometry from the byte budget.  Device items
-/// are u64 words; B defaults to the dispatch layer's 4096 and shrinks
-/// (power-of-two) under tight budgets to respect the engine's M >= 4B
-/// contract.
+/// are u64 words; B defaults to backend_options::em_block_items' 4096
+/// and shrinks (power-of-two) under tight budgets to respect the engine's
+/// M >= 4B contract.
 void fill_em_geometry(permutation_plan& plan, std::uint64_t n, std::uint64_t budget_bytes) {
   std::uint64_t m = budget_bytes == 0 ? (std::uint64_t{1} << 16) : budget_bytes / 8;
   std::uint32_t b = 4096;

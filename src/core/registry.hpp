@@ -1,13 +1,13 @@
 // core/registry.hpp
 //
 // Process-wide engine/pool registry.  Thread pools are expensive to spin
-// up and tear down; before this registry every `core::permute` call that
-// did not hand in an explicit `smp::engine*` constructed a fresh pool and
-// joined it on return -- pure overhead for servers that draw permutations
-// in a loop (core/repeat.hpp, the benches, the examples).  The registry
-// keeps ONE engine per distinct configuration for the lifetime of the
-// process; every caller that asks for the same configuration shares the
-// same warm pool.
+// up and tear down; without this registry every whole-vector call that
+// did not hand in an explicit `smp::engine*` would construct a fresh pool
+// and join it on return -- pure overhead for servers that draw
+// permutations in a loop (the service, the benches, the examples).  The
+// registry keeps ONE engine per distinct configuration for the lifetime
+// of the process; every caller that asks for the same configuration
+// shares the same warm pool.
 //
 // Lifetime rules (also documented in DESIGN.md):
 //   * engines are created on first use and never destroyed until process

@@ -1,18 +1,22 @@
 // em/async_shuffle.hpp
 //
-// The out-of-core permutation engine: em/shuffle.hpp's coarse-grained
-// scatter decomposition, re-engineered so block I/O overlaps computation
-// instead of stalling on every transfer.  Three ideas carry the design:
+// The out-of-core permutation engine: the paper's coarse-grained
+// decomposition run as external scatter passes -- each level streams the
+// data once into K buckets by independent uniform labels (the
+// Rao-Sandelius argument gives exact uniformity), recursing until a bucket
+// fits in memory and is Fisher-Yates'd there: O((n/B) log_K (n/M)) block
+// transfers, the external-sorting bound with NO comparison sort.  Block
+// I/O overlaps computation instead of stalling on every transfer.  Three
+// ideas carry the design:
 //
 //  1. *Index-keyed labels.*  Every bucket label is drawn from a Philox
 //     stream keyed (seed, level, bucket) at counter position `index`, so
 //     the label of item i is a pure function of (seed, level, bucket, i).
 //     Consequences: the counting pass needs NO I/O at all (labels are
-//     recomputed, never stored -- the synchronous engine's entire label
-//     device and its two extra scan passes disappear), and any worker can
-//     jump to any index range of the stream in O(1)
-//     (rng::stream_engine_at), so label generation parallelizes without
-//     hand-off.
+//     recomputed, never stored -- no label device and no extra scan
+//     passes), and any worker can jump to any index range of the stream
+//     in O(1) (rng::stream_engine_at), so label generation parallelizes
+//     without hand-off.
 //  2. *Double-buffered asynchronous scatter.*  Data blocks are streamed
 //     through a depth-bounded async_io_queue (em/block_device.hpp): each
 //     worker keeps `buffer_depth` reads in flight ahead of the block it is

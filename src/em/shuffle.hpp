@@ -1,32 +1,19 @@
 // em/shuffle.hpp
 //
-// External-memory uniform shuffling -- the paper's Section 6 outlook made
-// concrete in the Aggarwal-Vitter I/O model (n items, M items of memory,
-// B items per block):
-//
-//  * `em_shuffle`         -- the coarse-grained decomposition run as scan
-//    passes: each level streams the data once, scattering items into
-//    K = M/B - 2 buckets (independent uniform choice, the Rao-Sandelius
-//    argument gives exact uniformity), recursing until a bucket fits in
-//    memory and is Fisher-Yates'd there.  O((n/B) log_K (n/M)) block
-//    transfers -- the external-sorting bound, with NO comparison sort.
-//  * `naive_em_fisher_yates` -- the baseline the outlook warns about: the
-//    textbook shuffle run through an LRU buffer pool.  Once n >> M almost
-//    every swap touches a cold block: Theta(n) transfers, i.e. a factor
-//    ~B/log worse.
-//
-// Bench e12 tabulates the two across (n, M, B); tests verify exact
-// uniformity (exhaustive S5 on a tiny device) and the I/O bounds.
+// The external-memory baseline the paper's Section 6 outlook warns about,
+// in the Aggarwal-Vitter I/O model (n items, M items of memory, B items
+// per block): `naive_em_fisher_yates` runs the textbook shuffle through an
+// LRU buffer pool.  Once n >> M almost every swap touches a cold block:
+// Theta(n) transfers.  The coarse-grained out-of-core engine that needs
+// only O((n/B) log_K (n/M)) transfers is em::async_em_shuffle
+// (em/async_shuffle.hpp); bench e12 tabulates the two across (n, M, B).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "em/block_device.hpp"
 #include "rng/engine.hpp"
 #include "rng/uniform.hpp"
-#include "seq/fisher_yates.hpp"
 #include "util/assert.hpp"
 
 namespace cgp::em {
@@ -37,204 +24,6 @@ struct em_report {
   std::uint32_t levels = 0;           ///< deepest distribution level used
   std::uint64_t rng_words = 0;        ///< random words consumed (if counted)
 };
-
-namespace detail {
-
-/// Stream-read items [lo, hi) of a device (whole blocks) into `out`.
-inline void read_range(block_device& dev, std::uint64_t lo, std::uint64_t hi,
-                       std::vector<std::uint64_t>& out) {
-  const std::uint32_t b = dev.block_items();
-  out.clear();
-  out.reserve(static_cast<std::size_t>(hi - lo));
-  std::vector<std::uint64_t> buf(b);
-  for (std::uint64_t blk = lo / b; blk * b < hi; ++blk) {
-    dev.read_block(blk, buf);
-    const std::uint64_t first = blk * b;
-    for (std::uint32_t i = 0; i < b; ++i) {
-      const std::uint64_t pos = first + i;
-      if (pos >= lo && pos < hi) out.push_back(buf[i]);
-    }
-  }
-}
-
-/// Stream-write `in` to items [lo, lo + in.size()) (read-modify-write on
-/// the partial edge blocks).
-inline void write_range(block_device& dev, std::uint64_t lo,
-                        const std::vector<std::uint64_t>& in) {
-  const std::uint32_t b = dev.block_items();
-  const std::uint64_t hi = lo + in.size();
-  std::vector<std::uint64_t> buf(b);
-  for (std::uint64_t blk = lo / b; blk * b < hi; ++blk) {
-    const std::uint64_t first = blk * b;
-    const bool partial = first < lo || first + b > hi;
-    if (partial) dev.read_block(blk, buf);
-    for (std::uint32_t i = 0; i < b; ++i) {
-      const std::uint64_t pos = first + i;
-      if (pos >= lo && pos < hi) buf[i] = in[static_cast<std::size_t>(pos - lo)];
-    }
-    dev.write_block(blk, buf);
-  }
-}
-
-/// A block-granular append cursor.  Interior blocks a cursor fully owns
-/// are written blind (one transfer); the at-most-two partial boundary
-/// blocks of its extent are merge-written (read fresh, patch the owned
-/// slice, write) so that neighbouring cursors sharing a boundary block
-/// never clobber each other: each one only ever rewrites its own item
-/// range, and all merges read the device state at merge time.
-class append_cursor {
- public:
-  append_cursor(block_device& dev, std::uint64_t start) : dev_(dev), pos_(start) {
-    buf_.reserve(dev.block_items());
-  }
-
-  void push(std::uint64_t v) {
-    if (buf_.empty()) first_off_ = pos_ % dev_.block_items();
-    buf_.push_back(v);
-    ++pos_;
-    if (pos_ % dev_.block_items() == 0) emit();
-  }
-
-  void flush() {
-    if (!buf_.empty()) emit();
-  }
-
- private:
-  void emit() {
-    const std::uint32_t b = dev_.block_items();
-    const std::uint64_t blk = (pos_ - 1) / b;  // block the buffered items live in
-    if (first_off_ == 0 && buf_.size() == b) {
-      dev_.write_block(blk, buf_);  // fully owned: blind write
-    } else {
-      // Boundary block: merge into the freshest device contents.
-      std::vector<std::uint64_t> tmp(b);
-      dev_.read_block(blk, tmp);
-      std::copy(buf_.begin(), buf_.end(), tmp.begin() + static_cast<std::ptrdiff_t>(first_off_));
-      dev_.write_block(blk, tmp);
-    }
-    buf_.clear();
-  }
-
-  block_device& dev_;
-  std::uint64_t pos_;
-  std::uint64_t first_off_ = 0;
-  std::vector<std::uint64_t> buf_;
-};
-
-template <rng::random_engine64 Engine>
-void em_shuffle_level(Engine& engine, block_device& cur, block_device& main_dev,
-                      block_device& other, block_device& labels, std::uint64_t lo,
-                      std::uint64_t hi, std::uint64_t memory_items, std::uint32_t level,
-                      em_report& report) {
-  const std::uint64_t size = hi - lo;
-  report.levels = std::max(report.levels, level);
-  if (size == 0) return;
-
-  // Base: the range fits in memory -- load, Fisher-Yates, write to the
-  // MAIN device (the caller's contract: results always land there).
-  if (size <= memory_items) {
-    std::vector<std::uint64_t> mem;
-    read_range(cur, lo, hi, mem);
-    seq::fisher_yates(engine, std::span<std::uint64_t>(mem));
-    write_range(main_dev, lo, mem);
-    return;
-  }
-
-  const std::uint32_t b = cur.block_items();
-  const auto k = static_cast<std::uint32_t>(
-      std::max<std::uint64_t>(2, memory_items / b > 2 ? memory_items / b - 2 : 2));
-  const unsigned bits = [&] {
-    unsigned width = 1;
-    while ((1u << (width + 1)) <= k) ++width;
-    return width;
-  }();
-  const std::uint32_t fan = 1u << bits;  // power-of-two fan-out <= K
-
-  // Pass 1: stream the range, draw independent uniform bucket labels
-  // (batched from 64-bit words), stream them to the label device, count.
-  std::vector<std::uint64_t> counts(fan, 0);
-  {
-    std::vector<std::uint64_t> in_buf(b);
-    append_cursor label_out(labels, lo);
-    std::uint64_t word = 0;
-    unsigned left = 0;
-    for (std::uint64_t blk = lo / b; blk * b < hi; ++blk) {
-      cur.read_block(blk, in_buf);
-      const std::uint64_t first = blk * b;
-      for (std::uint32_t i = 0; i < b; ++i) {
-        const std::uint64_t pos = first + i;
-        if (pos < lo || pos >= hi) continue;
-        if (left == 0) {
-          word = engine();
-          left = 64 / bits;
-          ++report.rng_words;
-        }
-        const std::uint64_t lab = word & (fan - 1);
-        word >>= bits;
-        --left;
-        label_out.push(lab);
-        ++counts[static_cast<std::size_t>(lab)];
-      }
-    }
-    label_out.flush();
-  }
-
-  // Bucket extents within [lo, hi) of the destination device.
-  std::vector<std::uint64_t> bucket_lo(fan + 1, lo);
-  for (std::uint32_t j = 0; j < fan; ++j) bucket_lo[j + 1] = bucket_lo[j] + counts[j];
-  CGP_ASSERT(bucket_lo[fan] == hi);
-
-  // Pass 2: stream data + labels, scatter through one append cursor per
-  // bucket (fan + 2 blocks of memory -- within M by construction).
-  {
-    std::vector<std::uint64_t> in_buf(b);
-    std::vector<std::uint64_t> lab_buf(b);
-    std::vector<append_cursor> out;
-    out.reserve(fan);
-    for (std::uint32_t j = 0; j < fan; ++j) out.emplace_back(other, bucket_lo[j]);
-    for (std::uint64_t blk = lo / b; blk * b < hi; ++blk) {
-      cur.read_block(blk, in_buf);
-      labels.read_block(blk, lab_buf);
-      const std::uint64_t first = blk * b;
-      for (std::uint32_t i = 0; i < b; ++i) {
-        const std::uint64_t pos = first + i;
-        if (pos < lo || pos >= hi) continue;
-        out[static_cast<std::size_t>(lab_buf[i])].push(in_buf[i]);
-      }
-    }
-    for (auto& cursorj : out) cursorj.flush();
-  }
-
-  // Recurse per bucket, roles swapped (the scattered data lives in
-  // `other`).
-  for (std::uint32_t j = 0; j < fan; ++j) {
-    em_shuffle_level(engine, other, main_dev, cur, labels, bucket_lo[j], bucket_lo[j + 1],
-                     memory_items, level + 1, report);
-  }
-}
-
-}  // namespace detail
-
-/// Uniformly shuffle the first `n` items of `dev` using at most
-/// ~`memory_items` items of in-memory working space.  Allocates two
-/// scratch devices of the same geometry (the ping-pong target and the
-/// label store), whose transfers are included in the report.
-template <rng::random_engine64 Engine>
-[[nodiscard]] em_report em_shuffle(Engine& engine, block_device& dev, std::uint64_t n,
-                                   std::uint64_t memory_items) {
-  CGP_EXPECTS(n <= dev.item_capacity());
-  CGP_EXPECTS(memory_items >= 4u * dev.block_items());
-  block_device scratch(dev.item_capacity(), dev.block_items());
-  block_device labels(dev.item_capacity(), dev.block_items());
-
-  em_report report;
-  const std::uint64_t before =
-      dev.stats().transfers() + scratch.stats().transfers() + labels.stats().transfers();
-  detail::em_shuffle_level(engine, dev, dev, scratch, labels, 0, n, memory_items, 0, report);
-  report.block_transfers = dev.stats().transfers() + scratch.stats().transfers() +
-                           labels.stats().transfers() - before;
-  return report;
-}
 
 /// The baseline: textbook Fisher-Yates through an LRU buffer pool of
 /// `frames` blocks.  Theta(n) transfers once n >> frames * B.

@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "core/backend.hpp"
 #include "core/executor.hpp"
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
@@ -207,9 +206,9 @@ void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_b
     const core::backend_options o = job_options(ctx_, st.seed);
     st.plan = plan_for_job(st.n, elem_bytes, o);
     {
-      // Same measured-phase collection a direct core::shuffle gets: the
-      // service path bypasses core::shuffle (it resolves plans through
-      // the cache), so it installs its own feedback scope.
+      // Same measured-phase collection a direct context::shuffle gets:
+      // the service path resolves plans through the cache instead of
+      // context::shuffle, so it installs its own feedback scope.
       const core::feedback_scope fb(st.plan, st.n, elem_bytes);
       core::make_executor(st.plan, o)->shuffle_raw(data, st.n, elem_bytes, st.seed);
     }

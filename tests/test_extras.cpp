@@ -7,15 +7,15 @@
 #include <numeric>
 #include <vector>
 
-#include "hyp/exact.hpp"
 #include "hyp/pmf.hpp"
 #include "rng/philox.hpp"
 #include "seq/baselines.hpp"
 #include "seq/fisher_yates.hpp"
-#include "seq/sattolo.hpp"
 #include "stats/chisq.hpp"
 #include "stats/lehmer.hpp"
 #include "stats/runs.hpp"
+#include "support/exact.hpp"
+#include "support/sattolo.hpp"
 
 namespace {
 

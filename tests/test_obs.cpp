@@ -405,16 +405,41 @@ TEST(ObsTrace, ChromeDumpCarriesAnchorAndSummary) {
 
 TEST(ObsDeterminism, FeedbackIsRecordedAndHarmless) {
   obs::set_enabled(true);
-  obs::clear_plan_feedback();
+  core::permutation_plan plan;
+  context_options copt;
+  copt.engine.plan_out = &plan;
+  cgp::context ctx(copt);
+  // Exactly one plan-feedback record per context call, naming the backend
+  // of the plan that ran, for every entry point.
+  const auto expect_one_record = [&](std::uint64_t n, std::uint32_t elem_bytes,
+                                     const char* call) {
+    const std::vector<obs::plan_feedback_record> log = obs::plan_feedback_log();
+    ASSERT_EQ(log.size(), 1u) << call;
+    EXPECT_EQ(log[0].backend, core::backend_name(plan.chosen)) << call;
+    EXPECT_EQ(log[0].n, n) << call;
+    EXPECT_EQ(log[0].elem_bytes, elem_bytes) << call;
+  };
+
   std::vector<std::uint64_t> v(4096);
   for (std::uint64_t i = 0; i < v.size(); ++i) v[i] = i;
-  cgp::context ctx;
-  (void)ctx.shuffle(std::span<std::uint64_t>(v), 7);
-  bool any = false;
-  for (const char* b : {"seq", "smp", "em"}) {
-    if (obs::plan_feedback_for(b).jobs > 0) any = true;
-  }
-  EXPECT_TRUE(any);
+  obs::clear_plan_feedback();
+  const core::permutation_plan ran = ctx.shuffle(std::span<std::uint64_t>(v), 7);
+  EXPECT_EQ(ran.chosen, plan.chosen);
+  expect_one_record(4096, 8, "shuffle(span, seed)");
+
+  std::vector<std::uint32_t> w(1000, 3u);
+  obs::clear_plan_feedback();
+  (void)ctx.shuffle(std::span<std::uint32_t>(w));
+  expect_one_record(1000, 4, "shuffle(span)");
+
+  obs::clear_plan_feedback();
+  const auto pi = ctx.random_permutation(4096, 7);
+  expect_one_record(4096, 8, "random_permutation(n, seed)");
+  EXPECT_EQ(pi, v) << "fill and shuffle-of-iota agree under one seed";
+
+  obs::clear_plan_feedback();
+  (void)ctx.random_permutation(2048);
+  expect_one_record(2048, 8, "random_permutation(n)");
 }
 
 }  // namespace

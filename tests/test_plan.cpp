@@ -2,8 +2,7 @@
 // (tiny -> sequential, RAM-resident mid -> smp, over-budget -> em),
 // bit-for-bit agreement of backend::automatic with the explicitly
 // selected backend, the streaming apply layer's bulk I/O and O(M)
-// residency contract, the process-wide engine registry, and the native
-// permutation_stream mode.
+// residency contract, and the process-wide engine registry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,17 +11,23 @@
 #include <vector>
 
 #include "core/apply.hpp"
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
-#include "core/repeat.hpp"
 #include "em/block_device.hpp"
 #include "stats/lehmer.hpp"
 
 namespace {
 
 using namespace cgp;
+
+/// `data` permuted by `ctx` under an explicit seed.
+template <typename T>
+std::vector<T> permuted(const context& ctx, std::vector<T> data, std::uint64_t seed) {
+  (void)ctx.shuffle(std::span<T>(data), seed);
+  return data;
+}
 
 // A fixed synthetic profile: 8 threads, cache-resident Fisher-Yates at
 // 2 ns/item degrading to 10 ns/item past 32 MiB, cheap streaming splits.
@@ -120,75 +125,76 @@ TEST(Planner, ExplainNamesTheChoiceAndEveryCandidate) {
 
 TEST(BackendAutomatic, MatchesSequentialAtTinyN) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 41;
+  context_options auto_copt;
+  auto_copt.which = core::backend::automatic;
+  auto_copt.engine.profile = &prof;
   core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  auto_copt.engine.plan_out = &plan;
+  const context auto_ctx(auto_copt);
 
-  core::backend_options seq_opt;
-  seq_opt.which = core::backend::sequential;
-  seq_opt.seed = 41;
+  context_options seq_copt;
+  seq_copt.which = core::backend::sequential;
+  const context seq_ctx(seq_copt);
 
-  const auto via_auto = core::random_permutation(4096, auto_opt);
+  const auto via_auto = auto_ctx.random_permutation(4096, 41);
   EXPECT_EQ(plan.chosen, core::backend::sequential);
-  EXPECT_EQ(via_auto, core::random_permutation(4096, seq_opt));
+  EXPECT_EQ(via_auto, seq_ctx.random_permutation(4096, 41));
 
   std::vector<std::uint32_t> payload(4096);
   std::iota(payload.begin(), payload.end(), 7u);
-  EXPECT_EQ(core::permute(payload, auto_opt), core::permute(payload, seq_opt));
+  EXPECT_EQ(permuted(auto_ctx, payload, 41), permuted(seq_ctx, payload, 41));
 }
 
 TEST(BackendAutomatic, MatchesSmpAtMidN) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 42;
+  context_options auto_copt;
+  auto_copt.which = core::backend::automatic;
+  auto_copt.engine.profile = &prof;
   core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  auto_copt.engine.plan_out = &plan;
+  const context auto_ctx(auto_copt);
 
-  core::backend_options smp_opt;
-  smp_opt.which = core::backend::smp;
-  smp_opt.seed = 42;
+  context_options smp_copt;
+  smp_copt.which = core::backend::smp;
+  const context smp_ctx(smp_copt);
 
-  const auto via_auto = core::random_permutation(1'000'000, auto_opt);
+  const auto via_auto = auto_ctx.random_permutation(1'000'000, 42);
   EXPECT_EQ(plan.chosen, core::backend::smp);
-  EXPECT_EQ(via_auto, core::random_permutation(1'000'000, smp_opt));
+  EXPECT_EQ(via_auto, smp_ctx.random_permutation(1'000'000, 42));
 }
 
 TEST(BackendAutomatic, MatchesEmUnderBudget) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 43;
-  auto_opt.memory_budget_bytes = 64 * 1024;  // << n * 8
+  context_options auto_copt;
+  auto_copt.which = core::backend::automatic;
+  auto_copt.engine.profile = &prof;
+  auto_copt.memory_budget_bytes = 64 * 1024;  // << n * 8
   core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  auto_copt.engine.plan_out = &plan;
+  const context auto_ctx(auto_copt);
 
-  const auto via_auto = core::random_permutation(100'000, auto_opt);
+  const auto via_auto = auto_ctx.random_permutation(100'000, 43);
   ASSERT_EQ(plan.chosen, core::backend::em);
   EXPECT_TRUE(stats::is_permutation_of_iota(via_auto));
 
   // Explicit em with the plan's geometry must reproduce it bit for bit.
-  core::backend_options em_opt;
-  em_opt.which = core::backend::em;
-  em_opt.seed = 43;
-  em_opt.em_engine.memory_items = plan.em_memory_items;
-  em_opt.em_block_items = plan.em_block_items;
-  EXPECT_EQ(via_auto, core::random_permutation(100'000, em_opt));
+  context_options em_copt;
+  em_copt.which = core::backend::em;
+  em_copt.engine.em_engine.memory_items = plan.em_memory_items;
+  em_copt.engine.em_block_items = plan.em_block_items;
+  const context em_ctx(em_copt);
+  EXPECT_EQ(via_auto, em_ctx.random_permutation(100'000, 43));
 }
 
 TEST(BackendAutomatic, PlanOutPopulatedForExplicitBackends) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.em_engine.memory_items = 512;
-  opt.em_block_items = 32;
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.engine.em_engine.memory_items = 512;
+  copt.engine.em_block_items = 32;
   core::permutation_plan plan;
-  opt.plan_out = &plan;
-  (void)core::random_permutation(10'000, opt);
+  copt.engine.plan_out = &plan;
+  const context ctx(copt);
+  (void)ctx.random_permutation(10'000, copt.seed);
   EXPECT_EQ(plan.chosen, core::backend::em);
   EXPECT_EQ(plan.em_memory_items, 512u);
   EXPECT_EQ(plan.em_block_items, 32u);
@@ -239,17 +245,17 @@ TEST(EmApply, PayloadShuffleEqualsGatherThroughIndexPermutation) {
   // The packed path's correctness argument: shuffling the payload on the
   // device is the same map as gathering through the index permutation the
   // same seed produces.
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 777;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;  // n >> M
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.engine.em_block_items = 32;
+  copt.engine.em_engine.memory_items = 512;  // n >> M
+  const context ctx(copt);
 
   std::vector<std::uint64_t> payload(20'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = i * 3 + 1;
-  const auto shuffled = core::permute(payload, opt);
+  const auto shuffled = permuted(ctx, payload, 777);
 
-  const auto pi = core::random_permutation(payload.size(), opt);
+  const auto pi = ctx.random_permutation(payload.size(), 777);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     ASSERT_EQ(shuffled[i], payload[static_cast<std::size_t>(pi[i])]) << "i=" << i;
   }
@@ -262,17 +268,17 @@ TEST(EmApply, WideRecordsGatherStreamedOffDevice) {
     std::uint64_t extra;
   };
   static_assert(sizeof(wide) == 24);
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 778;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.engine.em_block_items = 32;
+  copt.engine.em_engine.memory_items = 512;
+  const context ctx(copt);
 
   std::vector<wide> payload(10'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = {i, i * 7, ~i};
-  const auto shuffled = core::permute(payload, opt);
+  const auto shuffled = permuted(ctx, payload, 778);
 
-  const auto pi = core::random_permutation(payload.size(), opt);
+  const auto pi = ctx.random_permutation(payload.size(), 778);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     const wide& expect = payload[static_cast<std::size_t>(pi[i])];
     ASSERT_EQ(shuffled[i].key, expect.key);
@@ -288,14 +294,14 @@ TEST(EmApply, ReportCountsSetupAndReadbackTransfers) {
   // readback on top of the engine's own traffic.
   const std::uint64_t n = 20'000;
   const std::uint32_t b = 32;
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 779;
-  opt.em_block_items = b;
-  opt.em_engine.memory_items = 512;
+  context_options copt;
+  copt.which = core::backend::em;
+  copt.engine.em_block_items = b;
+  copt.engine.em_engine.memory_items = 512;
   em::async_report report;
-  opt.em_report_out = &report;
-  (void)core::random_permutation(n, opt);
+  copt.engine.em_report_out = &report;
+  const context ctx(copt);
+  (void)ctx.random_permutation(n, 779);
   EXPECT_GE(report.block_transfers, 2ull * (n / b)) << "fill + readback must be visible";
   EXPECT_GT(report.async_reads, 0u);
   EXPECT_GE(report.levels, 1u);
@@ -327,47 +333,14 @@ TEST(Registry, SharedPoolIsTheSharedEnginesPool) {
 }
 
 TEST(Registry, RepeatedDispatchDoesNotGrowTheRegistry) {
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.parallelism = 2;
-  (void)core::random_permutation(100, opt);
+  context_options copt;
+  copt.which = core::backend::smp;
+  copt.parallelism = 2;
+  const context ctx(copt);
+  (void)ctx.random_permutation(100, copt.seed);
   const std::size_t count = core::registered_engine_count();
-  for (int i = 0; i < 5; ++i) (void)core::random_permutation(100, opt);
+  for (int i = 0; i < 5; ++i) (void)ctx.random_permutation(100, copt.seed);
   EXPECT_EQ(core::registered_engine_count(), count);
-}
-
-// --- native permutation_stream mode ------------------------------------------
-
-TEST(PermutationStreamNative, ValidDeterministicAndSeekable) {
-  core::backend_options base;
-  base.which = core::backend::smp;
-  base.parallelism = 2;
-  base.seed = 99;
-  core::permutation_stream s1(base, 500);
-  std::vector<std::vector<std::uint64_t>> first;
-  for (int i = 0; i < 4; ++i) {
-    first.push_back(s1.next());
-    EXPECT_TRUE(stats::is_permutation_of_iota(first.back()));
-  }
-  EXPECT_NE(first[0], first[1]);
-
-  core::permutation_stream s2(base, 500);
-  s2.seek(2);
-  EXPECT_EQ(s2.next(), first[2]);
-}
-
-TEST(PermutationStreamNative, AutomaticBackendDrawsThroughThePlanner) {
-  const auto prof = test_profile();
-  core::backend_options base;
-  base.which = core::backend::automatic;
-  base.profile = &prof;
-  base.seed = 100;
-  base.repetitions = 1000;
-  core::permutation_stream stream(base, 256);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(stats::is_permutation_of_iota(stream.next()));
-  }
-  EXPECT_EQ(stream.count(), 3u);
 }
 
 }  // namespace

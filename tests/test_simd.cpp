@@ -16,7 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/plan.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
@@ -209,16 +209,16 @@ TEST(SimdBackends, PermutationsBitIdenticalAcrossPaths) {
   for (const core::backend which :
        {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm,
         core::backend::cgm_simulator}) {
-    core::backend_options opt;
-    opt.which = which;
-    opt.seed = 0x51D7E57;
+    context_options copt;
+    copt.which = which;
+    const context ctx(copt);
     rng::set_simd_override(rng::simd_path::scalar);
-    const auto scalar_pi = core::random_permutation(n, opt);
+    const auto scalar_pi = ctx.random_permutation(n, 0x51D7E57);
     EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi))
         << core::backend_name(which);
     for (const rng::simd_path path : runnable_paths()) {
       rng::set_simd_override(path);
-      const auto pi = core::random_permutation(n, opt);
+      const auto pi = ctx.random_permutation(n, 0x51D7E57);
       EXPECT_EQ(pi, scalar_pi) << "backend=" << core::backend_name(which)
                                << " path=" << rng::simd_path_name(path);
     }

@@ -1,7 +1,7 @@
 // Tests for the native shared-memory execution engine (src/smp/): the
 // thread pool substrate, the parallel hypergeometric split, exhaustive
 // uniformity of the engine over S4/S5, bit-reproducibility across thread
-// counts, and the core/backend.hpp dispatch layer.
+// counts, and each backend's whole-vector path through cgp::context.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/driver.hpp"
 #include "rng/philox.hpp"
 #include "seq/fisher_yates.hpp"
@@ -210,18 +210,18 @@ TEST(SmpEngine, DifferentSeedsProduceDifferentPermutations) {
   EXPECT_NE(eng.random_permutation(1'000, 1), eng.random_permutation(1'000, 2));
 }
 
-// --- backend dispatch --------------------------------------------------------
+// --- backends through the context --------------------------------------------
 
 TEST(Backend, SmpDispatchMatchesDirectEngineOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.parallelism = 2;
-  opt.seed = 77;
-  opt.smp_engine.fan_out = 8;
-  opt.smp_engine.cache_items = 128;
-  const auto via_dispatch = core::random_permutation(20'000, opt);
+  context_options copt;
+  copt.which = core::backend::smp;
+  copt.parallelism = 2;
+  copt.engine.smp_engine.fan_out = 8;
+  copt.engine.smp_engine.cache_items = 128;
+  const context ctx(copt);
+  const auto via_dispatch = ctx.random_permutation(20'000, 77);
 
-  smp::engine_options eopt = opt.smp_engine;
+  smp::engine_options eopt = copt.engine.smp_engine;
   eopt.threads = 2;
   smp::engine eng(eopt);
   EXPECT_EQ(via_dispatch, eng.random_permutation(20'000, 77));
@@ -232,19 +232,19 @@ TEST(Backend, SmpDispatchReusesProvidedEngine) {
   eopt.threads = 2;
   eopt.cache_items = 64;
   smp::engine eng(eopt);
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.engine = &eng;
-  opt.seed = 123;
-  EXPECT_EQ(core::random_permutation(5'000, opt), eng.random_permutation(5'000, 123));
+  context_options copt;
+  copt.which = core::backend::smp;
+  copt.engine.engine = &eng;
+  const context ctx(copt);
+  EXPECT_EQ(ctx.random_permutation(5'000, 123), eng.random_permutation(5'000, 123));
 }
 
 TEST(Backend, CgmDispatchMatchesPermuteGlobalOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::cgm_simulator;
-  opt.parallelism = 4;
-  opt.seed = 99;
-  const auto via_dispatch = core::random_permutation(4'000, opt);
+  context_options copt;
+  copt.which = core::backend::cgm_simulator;
+  copt.parallelism = 4;
+  const context ctx(copt);
+  const auto via_dispatch = ctx.random_permutation(4'000, 99);
 
   cgm::machine mach(4, 99);
   const auto direct = core::random_permutation_global(mach, 4'000);
@@ -252,10 +252,10 @@ TEST(Backend, CgmDispatchMatchesPermuteGlobalOnSameSeed) {
 }
 
 TEST(Backend, SequentialDispatchMatchesFisherYates) {
-  core::backend_options opt;
-  opt.which = core::backend::sequential;
-  opt.seed = 1234;
-  const auto via_dispatch = core::random_permutation(1'000, opt);
+  context_options copt;
+  copt.which = core::backend::sequential;
+  const context ctx(copt);
+  const auto via_dispatch = ctx.random_permutation(1'000, 1234);
 
   rng::philox4x64 e(1234, 0);
   std::vector<std::uint64_t> direct(1'000);
@@ -266,12 +266,13 @@ TEST(Backend, SequentialDispatchMatchesFisherYates) {
 TEST(Backend, AllBackendsProduceValidPermutations) {
   for (const auto b : {core::backend::cgm_simulator, core::backend::smp, core::backend::em,
                        core::backend::cgm, core::backend::sequential}) {
-    core::backend_options opt;
-    opt.which = b;
-    opt.parallelism = 2;
-    opt.em_block_items = 64;  // keep the device tiny for n = 997
-    opt.em_engine.memory_items = 256;  // force the out-of-core path
-    const auto pi = core::random_permutation(997, opt);  // prime: general-margins CGM path
+    context_options copt;
+    copt.which = b;
+    copt.parallelism = 2;
+    copt.engine.em_block_items = 64;  // keep the device tiny for n = 997
+    copt.engine.em_engine.memory_items = 256;  // force the out-of-core path
+    const context ctx(copt);
+    const auto pi = ctx.random_permutation(997, copt.seed);  // prime: general-margins CGM path
     EXPECT_TRUE(stats::is_permutation_of_iota(pi)) << core::backend_name(b);
   }
 }

@@ -16,7 +16,6 @@
 #include "cgm/distributed.hpp"
 #include "comm/socket_transport.hpp"
 #include "comm/transport.hpp"
-#include "core/backend.hpp"
 #include "core/context.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
@@ -459,7 +458,7 @@ TEST(DistributedShuffle, MatchesSmpEngineAboveLeaf) {
   }
 }
 
-// --- backend::cgm through the dispatch layer ---------------------------------
+// --- backend::cgm through the context ----------------------------------------
 
 TEST(CgmBackend, MatchesSequentialAtAndBelowLeaf) {
   // At or below the cache cutoff the whole input is one leaf drawn from
@@ -470,25 +469,25 @@ TEST(CgmBackend, MatchesSequentialAtAndBelowLeaf) {
     test_support::expect_bit_identical(
         4,
         [&](std::size_t variant) {
-          core::backend_options opt;
-          opt.seed = 1234;
+          context_options copt;
           switch (variant) {
             case 0:
-              opt.which = core::backend::sequential;
+              copt.which = core::backend::sequential;
               break;
             case 1:
-              opt.which = core::backend::cgm;  // parallelism 0 -> loopback
+              copt.which = core::backend::cgm;  // parallelism 0 -> loopback
               break;
             case 2:
-              opt.which = core::backend::cgm;
-              opt.parallelism = 1;
+              copt.which = core::backend::cgm;
+              copt.parallelism = 1;
               break;
             default:
-              opt.which = core::backend::cgm;
-              opt.parallelism = 4;  // still one leaf: still sequential
+              copt.which = core::backend::cgm;
+              copt.parallelism = 4;  // still one leaf: still sequential
               break;
           }
-          return core::random_permutation(n, opt);
+          const context ctx(copt);
+          return ctx.random_permutation(n, 1234);
         },
         "backend::cgm == backend::sequential at/below the leaf");
   }
@@ -503,23 +502,20 @@ TEST(CgmBackend, ExplicitTransportAndRecordTypesDispatch) {
     std::uint64_t tag;
   };
   comm::threaded_transport tr(4);
-  core::backend_options opt;
-  opt.which = core::backend::cgm;
-  opt.transport = &tr;
-  opt.seed = 77;
-  opt.cgm_engine.engine.cache_items = 256;  // force distribution at n = 5000
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.engine.transport = &tr;
+  copt.engine.cgm_engine.engine.cache_items = 256;  // force distribution at n = 5000
+  const context ctx(copt);
 
   const std::uint64_t n = 5000;
-  std::vector<rec16> recs(n);
-  for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xABCDull};
-  core::permutation_plan plan;
-  opt.plan_out = &plan;
-  auto shuffled = core::permute(std::move(recs), opt);
+  std::vector<rec16> shuffled(n);
+  for (std::uint64_t i = 0; i < n; ++i) shuffled[i] = {i, i ^ 0xABCDull};
+  const core::permutation_plan plan = ctx.shuffle(std::span<rec16>(shuffled), 77);
   EXPECT_EQ(plan.chosen, core::backend::cgm);
   EXPECT_EQ(plan.threads, 4u);
 
-  core::backend_options fopt = opt;
-  fopt.plan_out = nullptr;
+  const core::backend_options fopt = ctx.execution_options(77);
   std::vector<std::uint64_t> pi(n);
   core::make_executor(core::resolve_plan(n, 8, fopt), fopt)
       ->fill_random_permutation(std::span<std::uint64_t>(pi), 77);
@@ -530,25 +526,24 @@ TEST(CgmBackend, ExplicitTransportAndRecordTypesDispatch) {
 }
 
 TEST(CgmBackend, BitIdenticalAcrossTransportsAndRankCounts) {
-  // The dispatch-layer face of the acceptance grid: backend::cgm with an
+  // The context face of the acceptance grid: backend::cgm with an
   // injected socket transport draws the same permutation as the threaded
   // transport and the default loopback, at ranks {1, 2, 4}.
   const std::uint64_t n = 5000;
-  core::backend_options base;
-  base.which = core::backend::cgm;
-  base.seed = 77;
-  base.cgm_engine.engine.cache_items = 256;  // force distribution
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.engine.cgm_engine.engine.cache_items = 256;  // force distribution
 
-  const auto reference = core::random_permutation(n, base);  // loopback
+  const auto reference = context(copt).random_permutation(n, 77);  // loopback
   for (const std::uint32_t p : {1u, 2u, 4u}) {
     comm::threaded_transport th(p);
-    core::backend_options opt = base;
-    opt.transport = &th;
-    EXPECT_EQ(core::random_permutation(n, opt), reference) << "threaded p=" << p;
+    context ctx(copt);
+    ctx.set_transport(&th);
+    EXPECT_EQ(ctx.random_permutation(n, 77), reference) << "threaded p=" << p;
 
     comm::socket_transport so(p);
-    opt.transport = &so;
-    EXPECT_EQ(core::random_permutation(n, opt), reference) << "socket p=" << p;
+    ctx.set_transport(&so);
+    EXPECT_EQ(ctx.random_permutation(n, 77), reference) << "socket p=" << p;
   }
 }
 
@@ -638,21 +633,19 @@ TEST(Planner, BudgetedWorkloadPicksCgmOverEmOnScaleOutProfile) {
 
 TEST(Planner, AutomaticMatchesExplicitCgmBitForBit) {
   core::machine_profile prof = scale_out_profile(8);
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.memory_budget_bytes = 1 << 20;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 31337;
+  context_options auto_copt;
+  auto_copt.which = core::backend::automatic;
+  auto_copt.memory_budget_bytes = 1 << 20;
+  auto_copt.engine.profile = &prof;
   core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
-  const auto via_auto = core::random_permutation(200'000, auto_opt);
+  auto_copt.engine.plan_out = &plan;
+  const auto via_auto = context(auto_copt).random_permutation(200'000, 31337);
   ASSERT_EQ(plan.chosen, core::backend::cgm);
 
-  core::backend_options explicit_opt;
-  explicit_opt.which = core::backend::cgm;
-  explicit_opt.parallelism = plan.threads;
-  explicit_opt.seed = 31337;
-  EXPECT_EQ(via_auto, core::random_permutation(200'000, explicit_opt));
+  context_options explicit_copt;
+  explicit_copt.which = core::backend::cgm;
+  explicit_copt.parallelism = plan.threads;
+  EXPECT_EQ(via_auto, context(explicit_copt).random_permutation(200'000, 31337));
 }
 
 // --- the context facade ------------------------------------------------------
@@ -679,12 +672,8 @@ TEST(ContextFacade, ShuffleDrawsAreIndependentAndReproducible) {
   EXPECT_EQ(v1, w1);
   EXPECT_EQ(v2, w2);
 
-  // Draw 0 equals the old free-function call with the base seed: the
-  // facade is a shim-compatible superset.
-  core::backend_options legacy;
-  legacy.which = core::backend::sequential;
-  legacy.seed = 606;
-  EXPECT_EQ(v1, core::random_permutation(500, legacy));
+  // Draw 0 equals an explicit-seed call with the base seed.
+  EXPECT_EQ(v1, a.random_permutation(500, 606));
 
   b.reseed(606);
   std::vector<std::uint64_t> w3(500);
