@@ -19,6 +19,11 @@
 //     path must be >= 2x on SIMD-capable hardware;
 //   * fisher-yates: seq::fisher_yates with scalar vs batched engine at a
 //     RAM-resident size (arithmetic win diluted by the memory-bound half);
+//   * leaf fisher-yates: the engines' leaf shape, a fresh engine per leaf
+//     on its own stream, over 2^21 items cut into leaves of 4096 items
+//     (cache-resident, like the smp/cgm leaves and the service's small
+//     jobs) or one leaf of 2^21 (a sequential-backend shuffle); every
+//     engine leaf now draws from the batched engine;
 //   * scatter: the split kernel's cursor scatter (the memory half).
 //
 // Output: a table on stdout plus BENCH_simd.json (one record per kernel:
@@ -28,8 +33,10 @@
 // scalar-only hardware" (CI treats 2 as soft, like e15/e18).
 //
 // Usage: e2_per_item_cost [mode] [json_path]   mode: full (default) | small
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -60,6 +67,17 @@ void scatter_once(const std::vector<std::uint8_t>& label, const std::vector<std:
   std::vector<std::uint64_t> cursor = cursor_init;
   for (std::size_t i = 0; i < items.size(); ++i) {
     scratch[static_cast<std::size_t>(cursor[label[i]]++)] = items[i];
+  }
+}
+
+/// Fisher-Yates `data` as consecutive leaves of `leaf_n` items, each on a
+/// fresh engine keyed by its leaf index: the shape of the engines' leaves.
+template <typename Engine>
+void shuffle_leaves(std::vector<std::uint64_t>& data, std::size_t leaf_n) {
+  for (std::size_t at = 0; at < data.size(); at += leaf_n) {
+    Engine e(0xE2, at / leaf_n);
+    seq::fisher_yates(e, std::span<std::uint64_t>(data).subspan(
+                             at, std::min(leaf_n, data.size() - at)));
   }
 }
 
@@ -134,6 +152,22 @@ int main(int argc, char** argv) {
                                   seq::fisher_yates(e, std::span<std::uint64_t>(data));
                                 }));
 
+  // --- leaf fisher-yates: a fresh engine per leaf, scalar vs batched -----
+  constexpr std::uint64_t kLeafTotal = 1ull << 21;
+  std::vector<std::uint64_t> leaf_data(static_cast<std::size_t>(kLeafTotal));
+  std::iota(leaf_data.begin(), leaf_data.end(), 0);
+  double leaf_fy_speedup = std::numeric_limits<double>::infinity();  // the smaller win
+  for (const std::uint64_t leaf_n : {std::uint64_t{4096}, kLeafTotal}) {
+    const std::string size = std::to_string(leaf_n);
+    const double scalar =
+        add("leaf fisher-yates " + size + " scalar engine", kLeafTotal,
+            best_of(reps, [&](int) { shuffle_leaves<rng::philox4x64>(leaf_data, leaf_n); }));
+    const double batched =
+        add("leaf fisher-yates " + size + " batched engine", kLeafTotal,
+            best_of(reps, [&](int) { shuffle_leaves<rng::batched_philox>(leaf_data, leaf_n); }));
+    leaf_fy_speedup = std::min(leaf_fy_speedup, batched > 0.0 ? scalar / batched : 0.0);
+  }
+
   // --- scatter: split-kernel cursor scatter -------------------------------
   std::vector<std::uint8_t> label(static_cast<std::size_t>(n_items));
   {
@@ -176,7 +210,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\nspeedups: keystream x" << fmt(keystream_speedup, 2) << ", batched labels x"
             << fmt(label_speedup, 2) << " (gate: >= x" << fmt(kMinSpeedup, 1)
-            << "), fisher-yates x" << fmt(fy_speedup, 2) << "\n";
+            << "), fisher-yates x" << fmt(fy_speedup, 2) << ", leaf fisher-yates x"
+            << fmt(leaf_fy_speedup, 2) << "\n";
   if (scalar_only) {
     std::cout << "scalar-only configuration (no vector kernel for this host / CGP_SIMD=off): "
                  "speedup gate not applicable, exiting 2\n";
@@ -193,6 +228,7 @@ int main(int argc, char** argv) {
       .add("keystream_speedup", keystream_speedup)
       .add("batched_label_speedup", label_speedup)
       .add("fisher_yates_speedup", fy_speedup)
+      .add("leaf_fy_speedup", leaf_fy_speedup)
       .add("min_speedup", kMinSpeedup)
       .add("scalar_only", scalar_only)
       .add("pass", pass);

@@ -22,6 +22,12 @@
 // -- yields bit-for-bit the result of permuting the typed records
 // directly.
 //
+// Every Fisher-Yates an executor runs (the sequential executor, and the
+// leaves inside the smp, cgm and em engines) draws from
+// rng::batched_philox: the same words as philox4x64 on the same
+// (seed, stream), generated a batch of counter blocks at a time through
+// the SIMD kernels, so every output is the scalar engine's.
+//
 // Executors are cheap per-call shells; the expensive state (thread
 // pools) comes from the process-wide registry (core/registry.hpp) unless
 // the caller hands in an engine explicitly.
@@ -57,7 +63,7 @@
 #include "obs/plan_feedback.hpp"
 #include "obs/trace.hpp"
 #include "prp/cipher.hpp"
-#include "rng/philox.hpp"
+#include "rng/philox_batch.hpp"
 #include "rng/uniform.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
@@ -240,7 +246,8 @@ class executor {
   }
 };
 
-/// seq::fisher_yates on the stream philox(seed, 0).
+/// seq::fisher_yates on the stream philox(seed, 0), drawn through the
+/// batched keystream (rng::batched_philox replays it word for word).
 class sequential_executor final : public executor {
  public:
   [[nodiscard]] backend kind() const noexcept override { return backend::sequential; }
@@ -248,7 +255,7 @@ class sequential_executor final : public executor {
   void shuffle_raw(void* data, std::uint64_t n, std::uint32_t elem_bytes,
                    std::uint64_t seed) override {
     const obs::span sp("fisher-yates", "exec");
-    rng::philox4x64 e(seed, 0);
+    rng::batched_philox e(seed, 0);
     detail::with_record_span(
         data, n, elem_bytes, [&](auto span) { seq::fisher_yates(e, span); },
         [&] { detail::fisher_yates_raw(e, static_cast<unsigned char*>(data), n, elem_bytes); });
@@ -257,7 +264,7 @@ class sequential_executor final : public executor {
   void fill_random_permutation(std::span<std::uint64_t> out, std::uint64_t seed) override {
     const obs::span sp("fisher-yates", "exec");
     std::iota(out.begin(), out.end(), 0);
-    rng::philox4x64 e(seed, 0);
+    rng::batched_philox e(seed, 0);
     seq::fisher_yates(e, out);
   }
 };

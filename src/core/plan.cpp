@@ -12,7 +12,6 @@
 #include "core/registry.hpp"
 #include "obs/plan_feedback.hpp"
 #include "prp/cipher.hpp"
-#include "rng/philox.hpp"
 #include "rng/philox_batch.hpp"
 #include "rng/splitmix64.hpp"
 #include "seq/fisher_yates.hpp"
@@ -139,7 +138,7 @@ machine_profile machine_profile::calibrate(std::uint64_t small_n, std::uint64_t 
     std::iota(v.begin(), v.end(), 0);
     double best = kInfeasible;
     for (int r = 0; r < reps; ++r) {
-      rng::philox4x64 e(seed, static_cast<std::uint64_t>(r));
+      rng::batched_philox e(seed, static_cast<std::uint64_t>(r));
       stopwatch sw;
       seq::fisher_yates(e, std::span<std::uint64_t>(v));
       best = std::min(best, sw.seconds());

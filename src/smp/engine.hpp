@@ -7,7 +7,15 @@
 //
 //   * while a range is larger than the cache cutoff, split it into fan_out
 //     buckets with the exact hypergeometric split (smp/parallel_split.hpp);
-//   * once a bucket fits in cache, finish it with seq::fisher_yates.
+//   * once a bucket fits in cache, finish it with seq::fisher_yates on a
+//     batched keystream (rng::batched_philox, the same words as the scalar
+//     node engine).
+//
+// The recursion ping-pongs between the data and one scratch buffer of the
+// same size: each level scatters out of place (smp::split_into) into the
+// other buffer, and the children continue from there.  No level copies
+// back; a leaf that ends up in scratch is copied home once, while it is
+// cache-sized, and shuffled there.
 //
 // This mirrors seq/rao_sandelius.hpp's recursion shape -- and inherits its
 // uniformity argument with the multinomial bucket law replaced by the
@@ -21,9 +29,14 @@
 // Bit-reproducibility: the recursion tree, the bucket sizes, and every
 // Philox stream depend only on (seed, options), never on the thread count
 // or the schedule, so engines with 1 and 64 threads produce the identical
-// permutation for the same seed (tests/test_smp.cpp checks this).
+// permutation for the same seed (tests/test_smp.cpp checks this).  Which
+// buffer a level runs in is not an input either: items move by position,
+// so the ping-pong recursion equals the in-place one (parallel_split per
+// node, scalar-engine leaves) bit for bit -- tests/support/smp_reference.hpp
+// keeps that form as the differential oracle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -59,26 +72,34 @@ inline constexpr std::uint64_t kShuffleRoot = 1;
   return node * fan_out + 1 + j;
 }
 
-/// The recursive subtree below `node`: split while above the cache
-/// cutoff, Fisher-Yates once a bucket fits.  Every random stream is keyed
-/// by (seed, node descendant, role) -- never by the executing thread --
-/// so the output is a pure function of (seed, node, opt) regardless of
-/// `pool` and `top`.  `top` fans the first split level and the per-bucket
-/// recursions out over `pool` (pass false / nullptr to run sequentially,
-/// e.g. inside an already-parallel bucket task or on a transport rank).
-/// This is the one recursion both the shared-memory engine and the
-/// distributed CGM engine (cgm/distributed.hpp) execute.
+/// Fisher-Yates one leaf of the tree on its node-keyed stream (batched
+/// keystream; the same words as node_engine(seed, node, kLeafSalt)).
 template <typename T>
-void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed,
-                     std::uint64_t node, const engine_options& opt, thread_pool* pool,
-                     bool top) {
-  if (data.size() <= opt.cache_items || data.size() < 2) {
+void shuffle_leaf(std::span<T> data, std::uint64_t seed, std::uint64_t node) {
+  auto e = detail::batched_node_engine(seed, node, detail::kLeafSalt);
+  seq::fisher_yates(e, data);
+}
+
+namespace detail {
+
+/// The recursion with alternating buffer roles: this node's items sit in
+/// `cur`, `alt` is free, and the finished subtree must end up in `cur`
+/// when `cur_is_home` and in `alt` otherwise.  A split scatters `cur` into
+/// `alt`, so the children start with the roles swapped; a leaf that is
+/// not at home is copied there first and shuffled in place.  Items move
+/// by position only, so the result is the one the in-place recursion
+/// (parallel_split, then shuffle each bucket) produces.
+template <typename T>
+void pingpong_subtree(std::span<T> cur, std::span<T> alt, bool cur_is_home, std::uint64_t seed,
+                      std::uint64_t node, const engine_options& opt, thread_pool* pool,
+                      bool top) {
+  if (cur.size() <= opt.cache_items || cur.size() < 2) {
     // Span only at the tree top: a per-leaf span would put one ring event
     // (and two clock reads) on every cache-sized bucket of the hot path.
     std::optional<obs::span> leaf_sp;
     if (top) leaf_sp.emplace("leaf", "split");
-    auto e = detail::node_engine(seed, node, detail::kLeafSalt);
-    seq::fisher_yates(e, data);
+    if (!cur_is_home) std::copy(cur.begin(), cur.end(), alt.begin());
+    shuffle_leaf(cur_is_home ? cur : alt, seed, node);
     return;
   }
   split_options sopt;
@@ -89,7 +110,7 @@ void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed
   std::optional<obs::span> split_sp;
   if (top) split_sp.emplace("split", "split");
   const std::vector<std::uint64_t> off =
-      parallel_split(top ? pool : nullptr, data, scratch, seed, node, sopt);
+      split_into(top ? pool : nullptr, std::span<const T>(cur), alt, seed, node, sopt);
   split_sp.reset();
   const auto buckets = static_cast<std::size_t>(off.size() - 1);
 
@@ -97,10 +118,10 @@ void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed
     for (std::size_t j = lo; j < hi; ++j) {
       const auto b_lo = static_cast<std::size_t>(off[j]);
       const auto b_len = static_cast<std::size_t>(off[j + 1] - off[j]);
-      // Bucket j recurses on its own slice of data *and* scratch: slices
-      // are disjoint, so bucket tasks never touch shared state.
-      shuffle_subtree(data.subspan(b_lo, b_len), scratch.subspan(b_lo, b_len), seed,
-                      split_child_node(node, j, opt.fan_out), opt, nullptr, false);
+      // Bucket j recurses on its own slice of both buffers: slices are
+      // disjoint, so bucket tasks never touch shared state.
+      pingpong_subtree(alt.subspan(b_lo, b_len), cur.subspan(b_lo, b_len), !cur_is_home, seed,
+                       split_child_node(node, j, opt.fan_out), opt, nullptr, false);
     }
   };
   if (top && pool != nullptr) {
@@ -108,6 +129,28 @@ void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed
   } else {
     recurse_range(0, buckets);
   }
+}
+
+}  // namespace detail
+
+/// The recursive subtree below `node`: split while above the cache
+/// cutoff, Fisher-Yates once a bucket fits; the result lands in `data`,
+/// and `scratch` (same extent) holds no defined content afterwards.
+/// Every random stream is keyed by (seed, node descendant, role) -- never
+/// by the executing thread -- so the output is a pure function of
+/// (seed, node, opt) regardless of `pool` and `top`.  `top` fans the
+/// first split level and the per-bucket recursions out over `pool` (pass
+/// false / nullptr to run sequentially, e.g. inside an already-parallel
+/// bucket task or on a transport rank).  This is the one recursion both
+/// the shared-memory engine and the distributed CGM engine
+/// (cgm/distributed.hpp) execute.
+template <typename T>
+void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed,
+                     std::uint64_t node, const engine_options& opt, thread_pool* pool,
+                     bool top) {
+  CGP_EXPECTS(scratch.size() >= data.size());
+  detail::pingpong_subtree(data, scratch.first(data.size()), /*cur_is_home=*/true, seed, node,
+                           opt, pool, top);
 }
 
 class engine {
@@ -128,8 +171,7 @@ class engine {
     static_assert(std::is_trivially_copyable_v<T>);
     if (data.size() < 2) return;
     if (data.size() <= opt_.cache_items) {
-      auto e = detail::node_engine(seed, kShuffleRoot, detail::kLeafSalt);
-      seq::fisher_yates(e, data);
+      shuffle_leaf(data, seed, kShuffleRoot);
       return;
     }
     // Default-initialized scratch (not a value-initialized vector): the

@@ -1,9 +1,9 @@
 // smp/parallel_split.hpp
 //
 // One level of the recursive hypergeometric split, executed with real
-// threads: the paper's Algorithm 1 restated for shared memory.  The input
+// threads: the paper's Algorithm 1 restated for shared memory.  The source
 // span is viewed as K contiguous source chunks and redistributed into K
-// contiguous target buckets in three phases:
+// contiguous target buckets of a second buffer in two phases:
 //
 //   1. *matrix*  -- sample the K x K communication matrix A from the exact
 //      permutation-induced law (core/sample_matrix.hpp, Algorithm 3) with
@@ -14,8 +14,12 @@
 //      1-byte-per-item, cache-resident buffer instead of the item data --
 //      then stream the chunk's items to precomputed column-prefix offsets
 //      (the shared-memory analogue of the all-to-all h-relation: one
-//      streaming write pass, no message buffers);
-//   3. *copy back* -- in parallel over target buckets.
+//      streaming write pass, no message buffers).
+//
+// `split_into` is that out-of-place level; the recursion in smp/engine.hpp
+// alternates the two buffers' roles per level and never copies a level
+// back.  `parallel_split` is the in-place single-level API: `split_into`
+// plus a third *copy back* phase, parallel over target buckets.
 //
 // Uniformity is Algorithm 1's own argument (Propositions 1, 2): a uniformly
 // shuffled label multiset makes "which items realize row c of A" a uniform
@@ -73,6 +77,17 @@ inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;         // 'leaf'
                                                  std::uint64_t salt,
                                                  std::uint64_t index = 0) noexcept {
   return rng::philox4x64(seed, node_stream(node, salt, index));
+}
+
+/// The same stream as node_engine, drawn through rng::batched_philox: it
+/// replays the scalar engine word for word, refilled kBatchBlocks counter
+/// blocks at a time through the SIMD kernels.  What the hot Fisher-Yates
+/// loops (chunk labels, leaves) draw from.
+[[nodiscard]] inline rng::batched_philox batched_node_engine(std::uint64_t seed,
+                                                             std::uint64_t node,
+                                                             std::uint64_t salt,
+                                                             std::uint64_t index = 0) noexcept {
+  return rng::batched_philox(seed, node_stream(node, salt, index));
 }
 
 }  // namespace detail
@@ -148,13 +163,9 @@ inline void split_chunk_labels_into(const split_plan& plan, std::uint64_t seed,
     at += count;
   }
   CGP_ASSERT(at == label.size());
-  // Batched keystream on the chunk's dedicated stream: rng::batched_philox
-  // replays philox4x64(seed, stream) word for word (same derive_key keying,
-  // same word order), only generating kBatchBlocks counter blocks per
-  // refill through the SIMD kernels -- so this Fisher-Yates consumes the
-  // identical draw sequence as the scalar engine did and the shuffled label
-  // array (hence every backend's output) is bit-unchanged.
-  rng::batched_philox engine(seed, detail::node_stream(node, detail::kChunkSalt, c));
+  // Batched keystream on the chunk's dedicated stream: the identical draw
+  // sequence as node_engine(seed, node, kChunkSalt, c).
+  auto engine = detail::batched_node_engine(seed, node, detail::kChunkSalt, c);
   seq::fisher_yates(engine, std::span<std::uint8_t>(label));
 }
 
@@ -169,23 +180,23 @@ inline void split_chunk_labels_into(const split_plan& plan, std::uint64_t seed,
   return label;
 }
 
-/// Split `data` into fan_out contiguous buckets, uniformly: after the call,
-/// bucket j occupies data[off[j] .. off[j+1]) where `off` is the returned
-/// offset vector (size K+1), the multiset of items is preserved, and --
-/// provided the caller afterwards permutes each bucket uniformly and
+/// Split `src` into fan_out contiguous buckets of `dst`, uniformly: after
+/// the call, bucket j occupies dst[off[j] .. off[j+1]) where `off` is the
+/// returned offset vector (size K+1), `dst` holds the multiset of `src`,
+/// and -- provided the caller afterwards permutes each bucket uniformly and
 /// independently -- the composition is an exactly uniform permutation of
-/// `data`.  `scratch` must have the same extent as `data`; it is used as the
-/// scatter target and holds no defined content afterwards.  `pool`, if
-/// non-null, parallelizes phases 2 and 3; passing nullptr runs sequentially
-/// with bit-identical results.
+/// `src`.  `dst` must have at least the extent of `src` and must not
+/// overlap it; `src` is left unchanged.  `pool`, if non-null, parallelizes
+/// the scatter; passing nullptr runs sequentially with bit-identical
+/// results.
 template <typename T>
-[[nodiscard]] std::vector<std::uint64_t> parallel_split(thread_pool* pool, std::span<T> data,
-                                                        std::span<T> scratch, std::uint64_t seed,
-                                                        std::uint64_t node,
-                                                        const split_options& opt = {}) {
+[[nodiscard]] std::vector<std::uint64_t> split_into(thread_pool* pool, std::span<const T> src,
+                                                    std::span<T> dst, std::uint64_t seed,
+                                                    std::uint64_t node,
+                                                    const split_options& opt = {}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  CGP_EXPECTS(scratch.size() >= data.size());
-  const std::uint64_t n = data.size();
+  CGP_EXPECTS(dst.size() >= src.size());
+  const std::uint64_t n = src.size();
 
   // Phase 1: the deterministic split plan (margins, matrix, offsets).
   const split_plan plan = make_split_plan(n, seed, node, opt);
@@ -193,19 +204,19 @@ template <typename T>
 
   // Phase 2: per-chunk label shuffle + streaming scatter (parallel over
   // chunks; cursors start at the precomputed offsets, so chunks write
-  // disjoint scratch ranges and need no synchronization).
+  // disjoint dst ranges and need no synchronization).
   const auto split_chunks = [&](std::size_t chunk_lo, std::size_t chunk_hi) {
     std::vector<std::uint8_t> label;  // reused across this worker's chunks
     std::vector<std::uint64_t> cursor(k);
     for (std::size_t c = chunk_lo; c < chunk_hi; ++c) {
       const std::uint64_t off = balanced_block_offset(n, k, static_cast<std::uint32_t>(c));
       const std::uint64_t len = plan.margins[c];
-      const std::span<const T> chunk = data.subspan(static_cast<std::size_t>(off),
-                                                    static_cast<std::size_t>(len));
+      const std::span<const T> chunk = src.subspan(static_cast<std::size_t>(off),
+                                                   static_cast<std::size_t>(len));
       for (std::uint32_t j = 0; j < k; ++j) cursor[j] = plan.dest[c * k + j];
       split_chunk_labels_into(plan, seed, node, static_cast<std::uint32_t>(c), label);
       for (std::size_t i = 0; i < chunk.size(); ++i) {
-        scratch[static_cast<std::size_t>(cursor[label[i]]++)] = chunk[i];
+        dst[static_cast<std::size_t>(cursor[label[i]]++)] = chunk[i];
       }
     }
   };
@@ -214,21 +225,36 @@ template <typename T>
   } else {
     split_chunks(0, k);
   }
+  return plan.bucket_off;
+}
+
+/// The in-place form of one split level: `split_into(pool, data, scratch)`
+/// followed by copying the bucketed order back, so bucket j occupies
+/// data[off[j] .. off[j+1]) on return.  `scratch` must have the same
+/// extent as `data` and holds no defined content afterwards.  `pool`, if
+/// non-null, parallelizes the scatter and the copy back.
+template <typename T>
+[[nodiscard]] std::vector<std::uint64_t> parallel_split(thread_pool* pool, std::span<T> data,
+                                                        std::span<T> scratch, std::uint64_t seed,
+                                                        std::uint64_t node,
+                                                        const split_options& opt = {}) {
+  std::vector<std::uint64_t> off =
+      split_into(pool, std::span<const T>(data), scratch, seed, node, opt);
 
   // Phase 3: copy the bucketed order back so the split is in place.
   const auto copy_back = [&](std::size_t bucket_lo, std::size_t bucket_hi) {
-    const auto lo = static_cast<std::size_t>(plan.bucket_off[bucket_lo]);
-    const auto hi = static_cast<std::size_t>(plan.bucket_off[bucket_hi]);
+    const auto lo = static_cast<std::size_t>(off[bucket_lo]);
+    const auto hi = static_cast<std::size_t>(off[bucket_hi]);
     std::copy_n(scratch.begin() + static_cast<std::ptrdiff_t>(lo), hi - lo,
                 data.begin() + static_cast<std::ptrdiff_t>(lo));
   };
+  const auto buckets = off.size() - 1;
   if (pool != nullptr) {
-    pool->parallel_for(0, k, copy_back);
+    pool->parallel_for(0, buckets, copy_back);
   } else {
-    copy_back(0, k);
+    copy_back(0, buckets);
   }
-
-  return plan.bucket_off;
+  return off;
 }
 
 }  // namespace cgp::smp

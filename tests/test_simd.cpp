@@ -203,24 +203,29 @@ TEST(SimdDispatch, ProfileFingerprintReKeysAcrossPaths) {
 // Lane-order independence at the backend level: the same seed must yield
 // the same permutation no matter which kernel generated the keystream.
 
+// Two shapes: 4096 items is a single leaf on every engine; 2^17 + 3 is
+// above the default smp/cgm cache cutoff and the em memory (both 65536
+// items), so the split level, the scratch-to-data leaf copy and the em
+// distribution level run under every path too.
 TEST(SimdBackends, PermutationsBitIdenticalAcrossPaths) {
   override_guard guard;
-  const std::uint64_t n = 1 << 12;
-  for (const core::backend which :
-       {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm,
-        core::backend::cgm_simulator}) {
-    context_options copt;
-    copt.which = which;
-    const context ctx(copt);
-    rng::set_simd_override(rng::simd_path::scalar);
-    const auto scalar_pi = ctx.random_permutation(n, 0x51D7E57);
-    EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi))
-        << core::backend_name(which);
-    for (const rng::simd_path path : runnable_paths()) {
-      rng::set_simd_override(path);
-      const auto pi = ctx.random_permutation(n, 0x51D7E57);
-      EXPECT_EQ(pi, scalar_pi) << "backend=" << core::backend_name(which)
-                               << " path=" << rng::simd_path_name(path);
+  for (const std::uint64_t n : {std::uint64_t{1} << 12, (std::uint64_t{1} << 17) + 3}) {
+    for (const core::backend which :
+         {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm,
+          core::backend::cgm_simulator}) {
+      context_options copt;
+      copt.which = which;
+      const context ctx(copt);
+      rng::set_simd_override(rng::simd_path::scalar);
+      const auto scalar_pi = ctx.random_permutation(n, 0x51D7E57);
+      EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi))
+          << core::backend_name(which) << " n=" << n;
+      for (const rng::simd_path path : runnable_paths()) {
+        rng::set_simd_override(path);
+        const auto pi = ctx.random_permutation(n, 0x51D7E57);
+        EXPECT_EQ(pi, scalar_pi) << "backend=" << core::backend_name(which) << " n=" << n
+                                 << " path=" << rng::simd_path_name(path);
+      }
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "stats/chisq.hpp"
 #include "stats/lehmer.hpp"
 #include "support/perm_check.hpp"
+#include "support/smp_reference.hpp"
 
 namespace {
 
@@ -208,6 +209,48 @@ TEST(SmpEngine, RepeatedCallsWithSameSeedAgree) {
 TEST(SmpEngine, DifferentSeedsProduceDifferentPermutations) {
   smp::engine eng;
   EXPECT_NE(eng.random_permutation(1'000, 1), eng.random_permutation(1'000, 2));
+}
+
+// --- engine vs the in-place, scalar-leaf reference recursion ------------------
+
+// The engines alternate data and scratch per level and draw leaves from the
+// batched keystream; tests/support/smp_reference.hpp is the plain in-place
+// recursion on scalar engines.  The grid puts leaves at odd and even depth
+// (so both the in-place and the copy-home leaf run), ragged bucket sizes
+// (odd n, fan_out 3), the root-leaf case (n <= cache_items), and the
+// one-item cutoff that recurses all the way down.
+TEST(SmpEngine, MatchesInPlaceScalarReferenceBitForBit) {
+  constexpr std::uint64_t seed = 0x5EF0;
+  for (const std::uint32_t fan_out : {2u, 3u, 16u}) {
+    for (const std::size_t cache_items : {std::size_t{2}, std::size_t{7}, std::size_t{4096}}) {
+      smp::engine_options opt;
+      opt.fan_out = fan_out;
+      opt.cache_items = cache_items;
+      opt.threads = 1;
+      smp::engine one_thread(opt);
+      opt.threads = 4;
+      smp::engine four_threads(opt);
+      for (const std::uint64_t n : {2ull, 17ull, 1000ull, 65537ull, (1ull << 18) + 5}) {
+        const auto want = test_support::reference_smp_permutation(n, seed + n, opt);
+        for (smp::engine* eng : {&one_thread, &four_threads}) {
+          EXPECT_EQ(eng->random_permutation(n, seed + n), want)
+              << "smp n=" << n << " fan_out=" << fan_out << " cache_items=" << cache_items
+              << " threads=" << eng->threads();
+        }
+        const auto want_cgm = test_support::reference_cgm_permutation(n, seed + n, opt);
+        for (const std::uint32_t ranks : {1u, 3u}) {
+          context_options copt;
+          copt.which = core::backend::cgm;
+          copt.parallelism = ranks;
+          copt.engine.cgm_engine.engine = opt;
+          const context ctx(copt);
+          EXPECT_EQ(ctx.random_permutation(n, seed + n), want_cgm)
+              << "cgm n=" << n << " fan_out=" << fan_out << " cache_items=" << cache_items
+              << " ranks=" << ranks;
+        }
+      }
+    }
+  }
 }
 
 // --- backends through the context --------------------------------------------
